@@ -14,6 +14,7 @@ import pytest
 from repro.core.lp import JointAssignmentLp
 from repro.core.titan_next import build_europe_setup, oracle_demand_for_day
 from repro.solver.scipy_backend import PreparedHighs
+from tests.oracles.lp_reference import build_reference
 
 pytestmark = pytest.mark.slow
 
@@ -43,7 +44,7 @@ def test_array_first_build_is_3x_faster_with_identical_objective(default_day):
     builder = JointAssignmentLp(setup.scenario, demand)
 
     t_ref, (ref_lp, ref_prep) = _best_of(
-        lambda: (lambda lp: (lp, PreparedHighs(lp)))(builder.build_reference()[0])
+        lambda: (lambda lp: (lp, PreparedHighs(lp)))(build_reference(builder)[0])
     )
     t_new, (new_lp, new_prep) = _best_of(
         lambda: (lambda lp: (lp, PreparedHighs(lp)))(builder.build()[0])

@@ -22,12 +22,14 @@ constraint set minus C4, with the objective replaced by total latency
 (or total max-E2E latency for the LF-E2E variant).
 
 The production :meth:`JointAssignmentLp.build` is *array-first*: it
-enumerates the LP columns once into flat index arrays, precomputes the
+enumerates the LP columns once into flat index arrays, stacks the
 per-(config, DC, option) coefficient tables (E2E latency, bandwidth,
-compute cores, link incidence), and emits every constraint family as a
-COO :class:`~repro.solver.model.ConstraintBlock` — no per-term dict
-churn, no string-keyed lookups.  The original scalar builder is kept as
-:meth:`JointAssignmentLp.build_reference` to validate equivalence.
+compute cores, link incidence) from the scenario's per-config memo
+(:meth:`~repro.core.scenario.Scenario.lp_config_row`), and emits every
+constraint family as a COO :class:`~repro.solver.model.ConstraintBlock`
+— no per-term dict churn, no string-keyed lookups.  Capacity (allowed
+Internet columns, C2/C3 right-hand sides) is read at build time.  The
+original scalar builder lives with the tests as an equivalence oracle.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..geo.world import stable_hash
 from ..net.latency import INTERNET, WAN
-from ..solver.model import ConstraintBlock, LinearProgram, LinExpr, Solution
+from ..solver.model import ConstraintBlock, LinearProgram, Solution
 from ..workload.configs import CallConfig
 from .scenario import Scenario
 
@@ -48,11 +49,6 @@ AssignmentTable = Dict[Tuple[int, CallConfig, str, str], float]
 
 #: Column routing options, by integer code (0 = WAN, 1 = Internet).
 _OPTIONS = (WAN, INTERNET)
-
-
-def _tie_break_unit(config: CallConfig, dc: str, option: str) -> float:
-    """Deterministic pseudo-random unit value keyed on column identity."""
-    return stable_hash(f"{config}|{dc}|{option}") / 2.0**32
 
 
 @dataclass(frozen=True)
@@ -312,8 +308,6 @@ class JointAssignmentLp:
         dc_index = {dc: i for i, dc in enumerate(dc_codes)}
         country_codes = scenario.country_codes
         n_country = len(country_codes)
-        country_index = {c: i for i, c in enumerate(country_codes)}
-        n_cfg = len(configs)
         sum_of_peaks = opts.objective == "sum_of_peaks"
         n_links = scenario.wan_link_count if sum_of_peaks else 0
 
@@ -330,66 +324,28 @@ class JointAssignmentLp:
             tmpl_dc.append(np.asarray(dcs, dtype=np.int64))
             tmpl_opt.append(np.asarray(opts_codes, dtype=np.int64))
 
-        # Coefficient tables over (config, dc, option).
-        e2e = np.zeros((n_cfg, n_dc, 2))
-        total_lat = np.zeros((n_cfg, n_dc, 2))
-        tie_break = np.zeros((n_cfg, n_dc, 2))
-        cores = np.zeros(n_cfg)
-        total_bw = np.zeros(n_cfg)
-        cfg_countries: List[np.ndarray] = []  # country idx with bw > 0
-        cfg_bws: List[np.ndarray] = []  # aligned Gbps per country
-        # Link incidence per (config, dc): link ids charged by WAN
-        # routing, with the per-country bandwidth that flows over them.
-        c5_links: List[List[np.ndarray]] = []
-        c5_bws: List[List[np.ndarray]] = []
-        for ci, config in enumerate(configs):
-            cores[ci] = config.compute_cores()
-            total_bw[ci] = config.bandwidth_gbps()
-            countries, bws = [], []
-            for country, _ in config.participants:
-                bw = config.country_bandwidth_gbps(country)
-                if bw > 0:
-                    countries.append(country_index[country])
-                    bws.append(bw)
-            cfg_countries.append(np.asarray(countries, dtype=np.int64))
-            cfg_bws.append(np.asarray(bws, dtype=np.float64))
-            per_dc_links: List[np.ndarray] = []
-            per_dc_bws: List[np.ndarray] = []
-            for di, dc in enumerate(dc_codes):
-                for oi, option in enumerate(_OPTIONS):
-                    e2e[ci, di, oi] = scenario.e2e_latency_ms(config, dc, option)
-                    total_lat[ci, di, oi] = scenario.total_latency_ms(config, dc, option)
-                    tie_break[ci, di, oi] = _tie_break_unit(config, dc, option)
-                if sum_of_peaks:
-                    links, link_bws = [], []
-                    for ki, bw in zip(cfg_countries[ci], cfg_bws[ci]):
-                        for link_idx in scenario.link_indices(country_codes[ki], dc):
-                            links.append(link_idx)
-                            link_bws.append(bw)
-                    per_dc_links.append(np.asarray(links, dtype=np.int64))
-                    per_dc_bws.append(np.asarray(link_bws, dtype=np.float64))
-            c5_links.append(per_dc_links)
-            c5_bws.append(per_dc_bws)
+        # Coefficient tables over (config, dc, option): the latency- and
+        # config-only parts come from the scenario's per-config memo.
+        cfg_rows = [scenario.lp_config_row(config) for config in configs]
+        e2e = np.stack([row.e2e for row in cfg_rows])
+        total_lat = np.stack([row.total_lat for row in cfg_rows])
+        cores = np.asarray([row.cores for row in cfg_rows])
+        total_bw = np.asarray([row.total_bw for row in cfg_rows])
 
-        # Column enumeration: one entry per (t, config, dc, option).
+        # Column enumeration: one entry per (t, config, dc, option), in
+        # (t, str(config)) group order — ``configs`` is sorted by str.
         cfg_of = {config: ci for ci, config in enumerate(configs)}
-        demand_items = sorted(self.demand.items(), key=lambda kv: (kv[0][0], str(kv[0][1])))
+        demand_items = sorted(self.demand.items(), key=lambda kv: (kv[0][0], cfg_of[kv[0][1]]))
         groups: List[Tuple[int, CallConfig]] = [key for key, _ in demand_items]
         counts = np.asarray([count for _, count in demand_items], dtype=np.float64)
-        t_parts, cfg_parts, dc_parts, opt_parts, group_parts = [], [], [], [], []
-        for g, ((t, config), _) in enumerate(demand_items):
-            ci = cfg_of[config]
-            width = tmpl_dc[ci].size
-            dc_parts.append(tmpl_dc[ci])
-            opt_parts.append(tmpl_opt[ci])
-            t_parts.append(np.full(width, t, dtype=np.int64))
-            cfg_parts.append(np.full(width, ci, dtype=np.int64))
-            group_parts.append(np.full(width, g, dtype=np.int64))
-        col_t = np.concatenate(t_parts)
-        col_cfg = np.concatenate(cfg_parts)
-        col_dc = np.concatenate(dc_parts)
-        col_opt = np.concatenate(opt_parts)
-        col_group = np.concatenate(group_parts)
+        group_t = np.asarray([t for t, _ in groups], dtype=np.int64)
+        group_cfg = np.asarray([cfg_of[config] for _, config in groups], dtype=np.int64)
+        widths = np.asarray([tmpl_dc[ci].size for ci in group_cfg], dtype=np.int64)
+        col_t = np.repeat(group_t, widths)
+        col_cfg = np.repeat(group_cfg, widths)
+        col_dc = np.concatenate([tmpl_dc[ci] for ci in group_cfg])
+        col_opt = np.concatenate([tmpl_opt[ci] for ci in group_cfg])
+        col_group = np.repeat(np.arange(len(groups), dtype=np.int64), widths)
         n_cols = col_t.size
 
         lp = LinearProgram("titan-next")
@@ -441,10 +397,10 @@ class JointAssignmentLp:
             if inet.size:
                 factor = opts.internet_capacity_factor
                 if opts.per_pair_internet_cap:
-                    reps = np.asarray([cfg_countries[c].size for c in col_cfg[inet]])
+                    reps = np.asarray([cfg_rows[c].countries.size for c in col_cfg[inet]])
                     entry_cols = np.repeat(inet, reps)
-                    entry_country = np.concatenate([cfg_countries[c] for c in col_cfg[inet]])
-                    entry_vals = np.concatenate([cfg_bws[c] for c in col_cfg[inet]])
+                    entry_country = np.concatenate([cfg_rows[c].countries for c in col_cfg[inet]])
+                    entry_vals = np.concatenate([cfg_rows[c].bws for c in col_cfg[inet]])
                     entry_t = np.repeat(col_t[inet], reps)
                     entry_dc = np.repeat(col_dc[inet], reps)
                     key = (entry_t * n_country + entry_country) * n_dc + entry_dc
@@ -503,24 +459,14 @@ class JointAssignmentLp:
         # C5 — link peaks dominate every slot's WAN load.
         if sum_of_peaks:
             wan = np.nonzero(col_opt == 0)[0]
-            lens = np.asarray([c5_links[c][d].size for c, d in zip(col_cfg[wan], col_dc[wan])])
-            nonzero = lens > 0
-            entry_cols = np.repeat(wan[nonzero], lens[nonzero])
-            entry_link = (
-                np.concatenate(
-                    [c5_links[c][d] for c, d in zip(col_cfg[wan[nonzero]], col_dc[wan[nonzero]])]
-                )
-                if nonzero.any()
-                else np.zeros(0, dtype=np.int64)
-            )
-            entry_vals = (
-                np.concatenate(
-                    [c5_bws[c][d] for c, d in zip(col_cfg[wan[nonzero]], col_dc[wan[nonzero]])]
-                )
-                if nonzero.any()
-                else np.zeros(0)
-            )
-            entry_t = np.repeat(col_t[wan[nonzero]], lens[nonzero])
+            pairs = list(zip(col_cfg[wan], col_dc[wan]))
+            links = [cfg_rows[c].c5_links[d] for c, d in pairs]
+            link_bws = [cfg_rows[c].c5_bws[d] for c, d in pairs]
+            lens = np.asarray([ids.size for ids in links], dtype=np.int64)
+            entry_cols = np.repeat(wan, lens)
+            entry_link = np.concatenate(links) if links else np.zeros(0, dtype=np.int64)
+            entry_vals = np.concatenate(link_bws) if links else np.zeros(0)
+            entry_t = np.repeat(col_t[wan], lens)
             key = entry_t * max(n_links, 1) + entry_link
             uniq, rows = np.unique(key, return_inverse=True)
             n_rows = uniq.size
@@ -542,6 +488,7 @@ class JointAssignmentLp:
             if opts.locality_epsilon > 0:
                 c[:n_cols] += opts.locality_epsilon * total_lat[col_cfg, col_dc, col_opt]
             if opts.tie_break_epsilon > 0:
+                tie_break = np.stack([row.tie_break for row in cfg_rows])
                 c[:n_cols] += opts.tie_break_epsilon * tie_break[col_cfg, col_dc, col_opt]
         elif opts.objective == "total_latency":
             c[:n_cols] = total_lat[col_cfg, col_dc, col_opt]
@@ -562,161 +509,6 @@ class JointAssignmentLp:
             artifacts.key_of(j): lp.variable_name(j) for j in range(artifacts.n_cols)
         }
         return lp, var_names
-
-    # -- reference (scalar) build -------------------------------------------
-
-    def build_reference(self) -> Tuple[LinearProgram, Dict[Tuple[int, CallConfig, str, str], str]]:
-        """The original scalar LP assembly (per-term ``add_term`` calls).
-
-        Kept as the ground truth the array-first :meth:`build` is
-        validated against (same constraint counts, same optimum); also a
-        readable rendition of the Fig 13 formulation.
-        """
-        scenario = self.scenario
-        opts = self.options
-        lp = LinearProgram("titan-next")
-        var_names: Dict[Tuple[int, CallConfig, str, str], str] = {}
-
-        x_vars: Dict[Tuple[int, CallConfig, str, str], object] = {}
-        for (t, config), count in sorted(
-            self.demand.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))
-        ):
-            for dc in self._allowed_dcs(config):
-                for option in self._allowed_options(config, dc):
-                    name = f"x[{t}][{config}][{dc}][{option}]"
-                    x_vars[(t, config, dc, option)] = lp.add_variable(name)
-                    var_names[(t, config, dc, option)] = name
-
-        y_vars = {}
-        if opts.objective == "sum_of_peaks":
-            for link_idx in range(scenario.wan_link_count):
-                y_vars[link_idx] = lp.add_variable(f"y[{link_idx}]")
-
-        # C1 — assign all calls of every (t, c).
-        for (t, config), count in self.demand.items():
-            expr = LinExpr()
-            for dc in self._allowed_dcs(config):
-                for option in self._allowed_options(config, dc):
-                    expr.add_term(x_vars[(t, config, dc, option)])
-            lp.add_constraint(expr == count, name=f"C1[{t}][{config}]")
-
-        # C2 — per-DC compute capacity per slot.
-        for t in self.slots:
-            for dc in scenario.dc_codes:
-                expr = LinExpr()
-                nonzero = False
-                for config in self.configs:
-                    if (t, config) not in self.demand:
-                        continue
-                    if dc not in self._allowed_dcs(config):
-                        continue
-                    cores = config.compute_cores()
-                    for option in self._allowed_options(config, dc):
-                        expr.add_term(x_vars[(t, config, dc, option)], cores)
-                        nonzero = True
-                if nonzero:
-                    cap = scenario.compute_caps[dc]
-                    if opts.single_dc_per_config:
-                        cap *= opts.single_dc_cap_relax
-                    lp.add_constraint(expr <= cap, name=f"C2[{t}][{dc}]")
-
-        # C3 — Internet capacity.
-        if opts.allow_internet:
-            self._add_internet_caps(lp, x_vars)
-
-        # C4 — average max-E2E latency bound (Titan-Next only).
-        if opts.objective == "sum_of_peaks":
-            total_calls = sum(self.demand.values())
-            expr = LinExpr()
-            for (t, config, dc, option), var in x_vars.items():
-                expr.add_term(var, scenario.e2e_latency_ms(config, dc, option))
-            lp.add_constraint(expr <= opts.e2e_bound_ms * total_calls, name="C4")
-
-        # C5 — link peaks dominate every slot's WAN load.
-        if opts.objective == "sum_of_peaks":
-            for t in self.slots:
-                loads: Dict[int, LinExpr] = {}
-                for config in self.configs:
-                    if (t, config) not in self.demand:
-                        continue
-                    for dc in self._allowed_dcs(config):
-                        if (t, config, dc, WAN) not in x_vars:
-                            continue
-                        var = x_vars[(t, config, dc, WAN)]
-                        for country, _ in config.participants:
-                            bw = config.country_bandwidth_gbps(country)
-                            if bw <= 0:
-                                continue
-                            for link_idx in scenario.link_indices(country, dc):
-                                loads.setdefault(link_idx, LinExpr()).add_term(var, bw)
-                for link_idx, load in loads.items():
-                    load.add_term(y_vars[link_idx], -1.0)
-                    lp.add_constraint(load <= 0, name=f"C5[{t}][{link_idx}]")
-
-        # Objective.
-        objective = LinExpr()
-        if opts.objective == "sum_of_peaks":
-            for var in y_vars.values():
-                objective.add_term(var)
-            if opts.locality_epsilon > 0:
-                for (t, config, dc, option), var in x_vars.items():
-                    objective.add_term(
-                        var, opts.locality_epsilon * scenario.total_latency_ms(config, dc, option)
-                    )
-            if opts.tie_break_epsilon > 0:
-                for (t, config, dc, option), var in x_vars.items():
-                    objective.add_term(
-                        var, opts.tie_break_epsilon * _tie_break_unit(config, dc, option)
-                    )
-        elif opts.objective == "total_latency":
-            for (t, config, dc, option), var in x_vars.items():
-                objective.add_term(var, scenario.total_latency_ms(config, dc, option))
-        else:  # total_e2e
-            for (t, config, dc, option), var in x_vars.items():
-                objective.add_term(var, scenario.e2e_latency_ms(config, dc, option))
-        lp.set_objective(objective)
-        return lp, var_names
-
-    def _add_internet_caps(self, lp: LinearProgram, x_vars) -> None:
-        scenario = self.scenario
-        factor = self.options.internet_capacity_factor
-        if self.options.per_pair_internet_cap:
-            for t in self.slots:
-                for country in scenario.country_codes:
-                    for dc in scenario.dc_codes:
-                        cap = scenario.internet_cap_gbps(country, dc) * factor
-                        expr = LinExpr()
-                        nonzero = False
-                        for config in self.configs:
-                            if (t, config) not in self.demand:
-                                continue
-                            bw = config.country_bandwidth_gbps(country)
-                            if bw <= 0:
-                                continue
-                            key = (t, config, dc, INTERNET)
-                            if key in x_vars:
-                                expr.add_term(x_vars[key], bw)
-                                nonzero = True
-                        if nonzero:
-                            lp.add_constraint(expr <= cap, name=f"C3[{t}][{country}][{dc}]")
-        else:
-            for t in self.slots:
-                for dc in scenario.dc_codes:
-                    cap = factor * sum(
-                        scenario.internet_cap_gbps(country, dc)
-                        for country in scenario.country_codes
-                    )
-                    expr = LinExpr()
-                    nonzero = False
-                    for config in self.configs:
-                        if (t, config) not in self.demand:
-                            continue
-                        key = (t, config, dc, INTERNET)
-                        if key in x_vars:
-                            expr.add_term(x_vars[key], config.bandwidth_gbps())
-                            nonzero = True
-                    if nonzero:
-                        lp.add_constraint(expr <= cap, name=f"C3[{t}][{dc}]")
 
     # -- solve ---------------------------------------------------------------
 

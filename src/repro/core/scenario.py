@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo.world import World
+from ..geo.world import World, stable_hash
 from ..net.latency import INTERNET, WAN, LatencyModel
 from ..net.topology import WanLink
 from ..workload.configs import CallConfig
@@ -54,6 +54,34 @@ class ScenarioEvalTables:
     part_ptr: np.ndarray
     part_country: np.ndarray
     part_bw: np.ndarray
+
+
+def tie_break_unit(config: CallConfig, dc: str, option: str) -> float:
+    """Deterministic pseudo-random unit value keyed on column identity."""
+    return stable_hash(f"{config}|{dc}|{option}") / 2.0**32
+
+
+@dataclass(frozen=True)
+class LpConfigRow:
+    """The parts of one config's Fig 13 LP coefficients that depend only
+    on the config, latency and WAN routes (never on capacity).
+
+    Per-(DC, option) arrays are ``(n_dc, 2)`` with options in
+    :data:`EVAL_OPTION_ORDER`; ``countries``/``bws`` list the config's
+    participant countries with positive bandwidth; ``c5_links[d]`` /
+    ``c5_bws[d]`` are the WAN links charged at DC ``d`` and the Gbps each
+    carries.
+    """
+
+    e2e: np.ndarray
+    total_lat: np.ndarray
+    tie_break: np.ndarray
+    cores: float
+    total_bw: float
+    countries: np.ndarray
+    bws: np.ndarray
+    c5_links: Tuple[np.ndarray, ...]
+    c5_bws: Tuple[np.ndarray, ...]
 
 
 class Scenario:
@@ -97,6 +125,7 @@ class Scenario:
         self._all_links: List[WanLink] = []
         self._eval_tables: Dict[Tuple[int, ...], ScenarioEvalTables] = {}
         self._link_csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._lp_rows: Dict[CallConfig, LpConfigRow] = {}
         self._build_link_table()
 
     def __getstate__(self):
@@ -105,12 +134,13 @@ class Scenario:
         ``_eval_tables`` is keyed on config object *ids*, which are
         meaningless (and collision-prone) in another process — a sweep
         worker must rebuild its own tables, which also keeps the
-        payload shipped to each worker small.  ``_link_csr`` is derived
-        and rebuilt on demand.
+        payload shipped to each worker small.  ``_link_csr`` and the
+        ``_lp_rows`` memo are derived and rebuilt on demand.
         """
         state = self.__dict__.copy()
         state["_eval_tables"] = {}
         state["_link_csr"] = None
+        state["_lp_rows"] = {}
         return state
 
     # -- links -------------------------------------------------------------
@@ -238,6 +268,56 @@ class Scenario:
             ptr,
             np.asarray(countries, dtype=np.int64),
             np.asarray(bws, dtype=float),
+        )
+
+    def lp_config_row(self, config: CallConfig) -> LpConfigRow:
+        """Memoized :class:`LpConfigRow` of ``config``.
+
+        Built on first use and kept for the scenario's life: latency and
+        WAN routes are fixed per scenario (``one_way_ms`` caches them
+        too).  Capacity is deliberately absent — the capacity book is
+        mutated in place, so LP builders read it at build time.
+        """
+        row = self._lp_rows.get(config)
+        if row is None:
+            row = self._build_lp_row(config)
+            self._lp_rows[config] = row
+        return row
+
+    def _build_lp_row(self, config: CallConfig) -> LpConfigRow:
+        n_dc = len(self.dc_codes)
+        e2e = np.empty((n_dc, len(EVAL_OPTION_ORDER)))
+        total_lat = np.empty_like(e2e)
+        tie_break = np.empty_like(e2e)
+        countries, bws = [], []
+        for country, _ in config.participants:
+            bw = config.country_bandwidth_gbps(country)
+            if bw > 0:
+                countries.append(self.country_index[country])
+                bws.append(bw)
+        c5_links, c5_bws = [], []
+        for d, dc in enumerate(self.dc_codes):
+            for o, option in enumerate(EVAL_OPTION_ORDER):
+                e2e[d, o] = self.e2e_latency_ms(config, dc, option)
+                total_lat[d, o] = self.total_latency_ms(config, dc, option)
+                tie_break[d, o] = tie_break_unit(config, dc, option)
+            links, link_bws = [], []
+            for ki, bw in zip(countries, bws):
+                for link_idx in self.link_indices(self.country_codes[ki], dc):
+                    links.append(link_idx)
+                    link_bws.append(bw)
+            c5_links.append(np.asarray(links, dtype=np.int64))
+            c5_bws.append(np.asarray(link_bws, dtype=np.float64))
+        return LpConfigRow(
+            e2e=e2e,
+            total_lat=total_lat,
+            tie_break=tie_break,
+            cores=config.compute_cores(),
+            total_bw=config.bandwidth_gbps(),
+            countries=np.asarray(countries, dtype=np.int64),
+            bws=np.asarray(bws, dtype=np.float64),
+            c5_links=tuple(c5_links),
+            c5_bws=tuple(c5_bws),
         )
 
     # -- latency -------------------------------------------------------------

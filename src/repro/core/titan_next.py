@@ -208,8 +208,8 @@ def predicted_demand_for_day_reference(
 
     Samples each history point per (config, slot), fits one
     Holt-Winters model per config, and regroups per slot — the
-    pre-batching pipeline, kept (like ``JointAssignmentLp.build_reference``)
-    to validate and benchmark the batched path against.
+    pre-batching pipeline, kept to validate and benchmark the batched
+    path against.
     """
     history_slots = history_weeks * 7 * SLOTS_PER_DAY
     start = day * SLOTS_PER_DAY - history_slots

@@ -8,6 +8,7 @@ from repro.core.lp import JointAssignmentLp, JointLpOptions
 from repro.core.titan_next import PlanCache, oracle_demand_for_day, plan_cache_for_days
 from repro.solver.model import LinearProgram, LinExpr
 from repro.solver.scipy_backend import PreparedHighs
+from tests.oracles.lp_reference import build_reference
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ class TestBuildEquivalence:
     @pytest.mark.parametrize("options", OPTION_SETS, ids=lambda o: f"{o.objective}-{o.allow_internet}-{o.per_pair_internet_cap}-{o.single_dc_per_config}-{o.internet_capacity_factor}")
     def test_same_shape_and_objective_as_reference(self, small_setup, demand_day, options):
         builder = JointAssignmentLp(small_setup.scenario, demand_day, options)
-        ref_lp, ref_names = builder.build_reference()
+        ref_lp, ref_names = build_reference(builder)
         new_lp, new_names = builder.build()
         assert new_lp.num_variables == ref_lp.num_variables
         assert new_lp.num_constraints == ref_lp.num_constraints
@@ -43,16 +44,60 @@ class TestBuildEquivalence:
 
     def test_var_name_table_matches_reference(self, small_setup, demand_day):
         builder = JointAssignmentLp(small_setup.scenario, demand_day)
-        _, ref_names = builder.build_reference()
+        _, ref_names = build_reference(builder)
         _, new_names = builder.build()
         assert new_names == ref_names
 
     def test_objective_vectors_identical(self, small_setup, demand_day):
         """Same column order → bit-identical objective coefficients."""
         builder = JointAssignmentLp(small_setup.scenario, demand_day)
-        ref_lp, _ = builder.build_reference()
+        ref_lp, _ = build_reference(builder)
         new_lp, _ = builder.build()
         np.testing.assert_array_equal(ref_lp.objective_vector(), new_lp.objective_vector())
+
+
+def lp_fingerprint(lp, var_names):
+    """Everything a solver sees of a built LP, as comparable values:
+    column order, objective, both constraint matrices, RHS and bounds."""
+    prepared = PreparedHighs(lp)
+    parts = [sorted(var_names.items(), key=lambda kv: kv[1]), prepared.c.tobytes()]
+    for matrix in (prepared.a_ub, prepared.a_eq):
+        if matrix is not None:
+            matrix = matrix.tocsr()
+            matrix.sort_indices()
+            parts += [matrix.indptr.tobytes(), matrix.indices.tobytes(), matrix.data.tobytes()]
+    parts += [v.tobytes() for v in prepared._rhs_vectors() if v is not None]
+    parts.append(prepared.bounds.tobytes())
+    return parts
+
+
+MEMO_OPTION_SETS = [
+    JointLpOptions(),
+    JointLpOptions(objective="total_latency"),
+    JointLpOptions(objective="total_e2e"),
+    JointLpOptions(allow_internet=False),
+    JointLpOptions(internet_capacity_factor=0.0),
+    JointLpOptions(internet_capacity_factor=2.0),
+    JointLpOptions(per_pair_internet_cap=False),
+    JointLpOptions(single_dc_per_config=True),
+]
+
+
+class TestConfigRowMemo:
+    """The scenario's per-config coefficient memo changes no LP."""
+
+    @pytest.mark.parametrize("options", MEMO_OPTION_SETS, ids=lambda o: repr(o)[15:60])
+    def test_warm_memo_builds_the_cold_lp_byte_for_byte(self, small_setup, demand_day, options):
+        scenario = small_setup.scenario
+        # Warm the memo through another day and option set first.
+        other = oracle_demand_for_day(small_setup, day=5)
+        JointAssignmentLp(scenario, other, JointLpOptions(objective="total_e2e")).build()
+        assert scenario._lp_rows
+        cold = scenario.with_capacity_book(scenario.capacity_book)
+        assert not cold._lp_rows
+        warm_lp = JointAssignmentLp(scenario, demand_day, options).build()
+        cold_lp = JointAssignmentLp(cold, demand_day, options).build()
+        assert lp_fingerprint(*warm_lp) == lp_fingerprint(*cold_lp)
 
 
 class TestBlockApi:

@@ -204,6 +204,19 @@ class TestSetupPickling:
         assert clone._eval_tables == {}
         assert clone._link_csr is None
 
+    def test_scenario_pickle_drops_lp_row_memo(self, small_setup):
+        from repro.core.lp import JointAssignmentLp
+
+        scenario = pickle.loads(pickle.dumps(small_setup.scenario))
+        demand = oracle_demand_for_day(small_setup, day=2)
+        JointAssignmentLp(scenario, demand).build()
+        assert scenario._lp_rows
+        shipped = pickle.dumps(scenario)
+        # The memo never travels, so worker payloads do not grow with it.
+        assert pickle.loads(shipped)._lp_rows == {}
+        scenario._lp_rows.clear()
+        assert len(shipped) == len(pickle.dumps(scenario))
+
     def test_unpickled_setup_scores_identically(self, small_setup):
         clone = pickle.loads(pickle.dumps(small_setup))
         demand = oracle_demand_for_day(small_setup, day=2)
