@@ -24,8 +24,8 @@ from repro.core.titan_next import (
     run_prediction_day,
     run_prediction_sweep,
 )
-from repro.core.controller import TitanNextController
 from repro.workload.traces import TraceGenerator
+from tests.oracles.controller_reference import ReferenceTitanNext
 
 pytestmark = pytest.mark.slow
 
@@ -58,7 +58,7 @@ def _reference_prediction_day(setup, day, seed=71):
     solved = JointAssignmentLp(setup.scenario, predicted, options).solve()
     assert solved.is_optimal
     plan = OfflinePlan.from_assignment(solved.assignment)
-    controller = TitanNextController(setup.scenario, plan, seed=seed + 1)
+    controller = ReferenceTitanNext(setup.scenario, plan, seed=seed + 1)
     trace = TraceGenerator(setup.demand, top_n_configs=setup.top_n_configs, seed=seed)
     return [controller.process(call) for call in trace.calls_for_day(day)], controller.stats
 

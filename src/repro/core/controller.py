@@ -17,39 +17,55 @@ Controllers:
 * :class:`FirstJoinerTitan` — weighted-random DC by cores, random
   routing by the pair's Titan fraction.
 
-Each controller has two processing paths over one sample stream:
+Each controller has one processing path, ``process_table(table)``, over
+a whole :class:`~repro.workload.traces.CallTable`; it returns an
+:class:`AssignmentBatch` and reproduces, call for call and bit for bit,
+the per-call loop that admits the table's rows in order (the per-call
+references live with the tests).  Why the array kernels are exact:
 
-* ``process(call)`` — the scalar reference, one :class:`Call` at a
-  time;
-* ``process_table(table)`` — the batch path over a whole
-  :class:`~repro.workload.traces.CallTable`, returning an
-  :class:`AssignmentBatch`.  Every random decision is an inverse-CDF
-  transform of raw uniforms, drawn in the same order as the scalar
-  loop, so the batch path reproduces the scalar assignments and
-  :class:`ControllerStats` call for call.
+* **Admission (WRR, LF).**  Within one start slot, usage only grows, so
+  a bucket without headroom under the usage before some call stays
+  full for every later call of that slot.  Each call of a run of
+  equal-slot calls is speculatively placed on its first bucket open
+  under the usage before the run; a per-resource ``cumsum`` in call
+  order then gives the usage every call sees as the same doubles the
+  loop sums.  Every call before the first one whose bucket fails that
+  check is placed exactly; the speculation restarts at that call,
+  under the exact usage it sees, which places it for sure.
+  ``np.add.at`` adds in index order, so committing a run with it gives
+  the loop's sums in every (resource, slot) cell.
+* **Plan draws (Titan-Next).**  A call's first guess is the true plan
+  key of the previous call from its first joiner's country.  While
+  every plan entry a call touches keeps a live bucket, each call draws
+  a known number of uniforms (an initial pick if a guess has a live
+  entry, a final pick if the guess was wrong and the true entry is
+  live), so one block from the uniform stream covers a whole table and
+  :meth:`~repro.core.plan.QuotaIndex.draw` walks all entries' picks in
+  rounds.  Entries empty only monotonically; the first draw that meets
+  an emptied entry restarts the speculation at its call, with the
+  stream rewound to that call's offset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..net.latency import INTERNET, WAN
 from ..workload.configs import CallConfig
 from ..workload.traces import Call, CallTable
-from .plan import OfflinePlan, QuotaIndex
+from .plan import ROUTING_OPTION_ORDER, OfflinePlan, QuotaIndex
 from .scenario import Scenario
 
-#: Routing options in batch index order (0 = WAN, 1 = INTERNET).
-ROUTING_OPTION_ORDER: Tuple[str, str] = (WAN, INTERNET)
-_OPTION_INDEX: Dict[str, int] = {opt: i for i, opt in enumerate(ROUTING_OPTION_ORDER)}
-
-#: Media order the controller tries for its intra-country guesses —
-#: shared by the scalar and batch TitanNext paths, whose call-for-call
-#: equivalence depends on identical guess sequences.
+#: Media order the controller tries for its intra-country guesses.
 GUESS_MEDIA: Tuple[str, str, str] = ("video", "audio", "screenshare")
+
+#: Most calls one admission run verifies at once (bounds its ledger).
+_ADMIT_WINDOW = 4096
+#: Most calls one speculation places before it is checked.
+_HORIZON = 512
 
 
 @dataclass
@@ -164,16 +180,21 @@ class AssignmentBatch:
         return [self[i] for i in range(len(self))]
 
 
+def _empty_batch(table: CallTable, dc_codes: Sequence[str]) -> AssignmentBatch:
+    empty = np.zeros(0, dtype=np.int64)
+    return AssignmentBatch(table, empty, empty, empty, empty, dc_codes)
+
+
 class _UniformStream:
     """Chunked reader over a Generator's uniform stream.
 
-    ``next()`` returns exactly what ``rng.random()`` would have — numpy
-    fills arrays from the same underlying doubles — while amortizing
-    the per-draw Generator overhead across a chunk.  The buffer
-    persists across batches (the generator itself has already advanced
-    past it), so route every draw through one stream: a direct draw
-    from the underlying generator would skip the buffered doubles and
-    desynchronize all subsequent draws.
+    :meth:`take` returns exactly the doubles that many successive
+    ``rng.random()`` calls would have — numpy fills arrays from the
+    same underlying doubles — refilling its buffer one chunk at a time.
+    The buffer persists across batches (the generator itself has
+    already advanced past it), so route every draw through one stream:
+    a direct draw from the underlying generator would skip the buffered
+    doubles and desynchronize all subsequent draws.
     """
 
     __slots__ = ("_rng", "_buffer", "_pos", "_chunk")
@@ -184,13 +205,25 @@ class _UniformStream:
         self._buffer = rng.random(chunk)
         self._pos = 0
 
-    def next(self) -> float:
-        if self._pos >= self._chunk:
-            self._buffer = self._rng.random(self._chunk)
-            self._pos = 0
-        u = self._buffer[self._pos]
-        self._pos += 1
-        return float(u)
+    def take(self, count: int) -> np.ndarray:
+        out = np.empty(count)
+        filled = 0
+        while filled < count:
+            if self._pos >= self._chunk:
+                self._buffer = self._rng.random(self._chunk)
+                self._pos = 0
+            step = min(count - filled, self._chunk - self._pos)
+            out[filled : filled + step] = self._buffer[self._pos : self._pos + step]
+            self._pos += step
+            filled += step
+        return out
+
+    def mark(self) -> tuple:
+        """A position :meth:`rewind` can return to."""
+        return self._buffer, self._pos, self._rng.bit_generator.state
+
+    def rewind(self, mark: tuple) -> None:
+        self._buffer, self._pos, self._rng.bit_generator.state = mark
 
 
 def weighted_shuffle_order(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -200,8 +233,9 @@ def weighted_shuffle_order(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
     ``log(u_i)/w_i``), which distributes like successive weighted draws
     without replacement.  Being a pure elementwise transform of
     pre-drawn uniforms — unlike ``rng.choice(replace=False, p=...)`` —
-    it lets the batch path replay the scalar stream exactly.  Works on
-    one call's vector or a ``(calls, buckets)`` matrix.
+    it lets a block of uniforms replay per-call draws exactly.  Works on
+    one call's vector or a ``(calls, buckets)`` matrix; zero-weight
+    columns sort last, in index order.
     """
     with np.errstate(divide="ignore"):
         keys = np.log(u) / weights
@@ -232,14 +266,119 @@ def _table_countries(table: CallTable) -> Tuple[List[str], np.ndarray]:
     return codes, per_call
 
 
-@dataclass(frozen=True)
-class _ConfigLoad:
-    """Interned per-config resource profile for the capacity tracker."""
+def _segments(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """For segment lengths ``counts``: each element's segment and its
+    position within it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    ends = np.cumsum(counts)
+    return owner, np.arange(len(owner)) - np.repeat(ends - counts, counts)
 
-    cores: float
-    country_idx: Tuple[int, ...]  # -1 for countries outside the scenario
-    country_codes: Tuple[str, ...]
-    bandwidths: Tuple[float, ...]
+
+def _bucket_ids(
+    tracker: "_CapacityTracker", buckets: Sequence[Sequence[Tuple[str, str]]]
+) -> np.ndarray:
+    """Per-country (dc, option) bucket lists as ``2 * dc + internet``
+    ids, one row per country, ``-1``-padded."""
+    ids = np.full((len(buckets), max(len(b) for b in buckets)), -1, dtype=np.int16)
+    for row, keys in zip(ids, buckets):
+        row[: len(keys)] = [2 * tracker.dc_index[dc] + (opt == INTERNET) for dc, opt in keys]
+    return ids
+
+
+class _Profile:
+    """Resource needs of a table's configs against the tracker's limits.
+
+    Config ``c`` needs ``cores[c]`` of compute and, for each participant
+    country ``q`` in ``first[c]:first[c + 1]``, ``bandwidth[q]`` Gbps on
+    the pair of Internet row ``member[q]`` and its DC.  Resources are
+    numbered DCs first, then (country row, DC) pairs; ``limit`` is each
+    one's cap plus the admission slack (1e-9 cores, 1e-12 Gbps).
+    """
+
+    def __init__(self, tracker: "_CapacityTracker", configs: Sequence[CallConfig]) -> None:
+        self.cores = np.asarray([c.compute_cores() for c in configs], dtype=float)
+        self.first = np.zeros(len(configs) + 1, dtype=np.int64)
+        np.cumsum([len(c.countries) for c in configs], out=self.first[1:])
+        self.member = np.asarray(
+            [tracker.country_row(code) for c in configs for code in c.countries], dtype=np.int64
+        )
+        self.bandwidth = np.asarray(
+            [c.country_bandwidth_gbps(code) for c in configs for code in c.countries], dtype=float
+        )
+        self.compute_limit = tracker._caps + 1e-9
+        pair_limit = tracker._pair_caps + 1e-12
+        self.member_limit = pair_limit[self.member]
+        self.limit = np.concatenate((self.compute_limit, pair_limit.ravel()))
+
+    def participants(self, cfg: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per participant of calls ``cfg``: its call and its index ``q``."""
+        owner, rank = _segments(self.first[cfg + 1] - self.first[cfg])
+        return owner, self.first[cfg][owner] + rank
+
+    def open_buckets(self, used: np.ndarray) -> np.ndarray:
+        """Which bucket ids have room for one call of each config, given
+        the ``used`` amount of every resource: compute headroom at the
+        DC and, for an Internet bucket, headroom on every participant's
+        pair.  A last, always-shut column is what the ``-1`` padding of
+        candidate lists indexes."""
+        dcs = len(self.compute_limit)
+        room = used[:dcs] + self.cores[:, None] <= self.compute_limit
+        member_used = used[dcs:].reshape(-1, dcs)[self.member]
+        blocked = member_used + self.bandwidth[:, None] > self.member_limit
+        bucket_open = np.zeros((len(room), 2 * dcs + 1), dtype=bool)
+        bucket_open[:, 0 : 2 * dcs : 2] = room
+        bucket_open[:, 1 : 2 * dcs : 2] = room & ~np.logical_or.reduceat(
+            blocked, self.first[:-1], axis=0
+        )
+        return bucket_open
+
+
+def _first_refuted(limit, used, bucket, planned, cores, owner, pair, gbps):
+    """Check a speculated placement of calls in call order.
+
+    Call ``k`` sits on bucket ``bucket[k]`` (``2 * dc + internet``) and
+    adds ``cores[k]`` to its DC's compute and, on an Internet bucket,
+    ``gbps[q]`` to the pair resource ``pair[q] + dc`` of each of its
+    participants ``q`` (``owner[q] == k``).  The usage a call sees is
+    ``used`` plus the adds of the calls before it, summed in call
+    order; only resources whose total could reach their ``limit`` are
+    summed exactly — one row each, columns in call order, so the
+    row-wise ``cumsum`` gives the same doubles a per-call loop sums.
+    Overflow calls (not ``planned``) add load unchecked.
+
+    Returns the first call whose placement is over a limit under the
+    usage it sees (``len(bucket)`` if none is), and that usage.
+    """
+    calls = len(bucket)
+    dc = bucket >> 1
+    net = (bucket & 1)[owner] == 1
+    resource = np.concatenate((dc, pair[net] + dc[owner[net]]))
+    call = np.concatenate((np.arange(calls), owner[net]))
+    amount = np.concatenate((cores, gbps[net]))
+    # Sums in any order differ from the call-order sums by far less
+    # than this margin, so every other resource stays under its limit.
+    total = used + np.bincount(resource, amount, minlength=len(limit))
+    tight = np.flatnonzero(total * (1.0 + 1e-9) > limit - 1e-9 * np.abs(limit))
+    k = calls
+    if len(tight):
+        row = np.full(len(limit), -1)
+        row[tight] = np.arange(len(tight))
+        kept = np.flatnonzero(row[resource] >= 0)
+        event_row, event_call = row[resource[kept]], call[kept]
+        add = np.zeros((len(tight), calls + 1))
+        add[:, 0] = used[tight]
+        add[event_row, event_call + 1] = amount[kept]
+        seen = np.cumsum(add, axis=1)[event_row, event_call + 1]
+        checked = (kept >= calls) | planned[event_call]
+        refuted = event_call[checked & (seen > limit[tight][event_row])]
+        if len(refuted):
+            k = int(refuted.min())
+    # Compute events come first, then Internet events, each in call
+    # order, so ``np.add.at`` adds every resource's events in call order.
+    before = call < k
+    used = used.copy()
+    np.add.at(used, resource[before], amount[before])
+    return k, used
 
 
 class _CapacityTracker:
@@ -250,9 +389,8 @@ class _CapacityTracker:
     Usage lives in dense ``(dc, slot)`` / ``(country, dc, slot)``
     arrays (grown geometrically along the slot axis) indexed by the
     scenario's DC and country order; capacity caps are snapshotted at
-    construction.  The string-keyed methods serve the scalar
-    controllers; the ``*_at`` methods are the integer-indexed batch
-    path over the same arrays.
+    construction.  A participant country outside the scenario's list
+    gets its Internet row (and caps) on first sight.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -269,23 +407,15 @@ class _CapacityTracker:
                 for country in scenario.country_codes
             ],
             dtype=float,
-        )
+        ).reshape(len(scenario.country_codes), len(self.dc_codes))
         self._slots = 64
         self._compute = np.zeros((len(self.dc_codes), self._slots))
         self._internet = np.zeros(
             (len(scenario.country_codes), len(self.dc_codes), self._slots)
         )
-        #: Internet usage for participant countries outside the
-        #: scenario's country list (no dense row): a sparse side ledger
-        #: keyed (country, dc index, slot).
-        self._extra_internet: Dict[Tuple[str, int, int], float] = {}
-        self._loads: Dict[CallConfig, _ConfigLoad] = {}
 
     def reserve(self, slots: int) -> None:
         """Pre-grow the slot axis (one resize instead of many)."""
-        self._ensure(slots)
-
-    def _ensure(self, slots: int) -> None:
         if slots <= self._slots:
             return
         new = self._slots
@@ -297,86 +427,105 @@ class _CapacityTracker:
         internet[:, :, : self._slots] = self._internet
         self._compute, self._internet, self._slots = compute, internet, new
 
-    def load_for(self, config: CallConfig) -> _ConfigLoad:
-        """The interned resource profile of a config."""
-        load = self._loads.get(config)
-        if load is None:
-            load = _ConfigLoad(
-                config.compute_cores(),
-                tuple(self.country_index.get(c, -1) for c in config.countries),
-                config.countries,
-                tuple(config.country_bandwidth_gbps(c) for c in config.countries),
+    def country_row(self, code: str) -> int:
+        """The Internet row of a participant country."""
+        row = self.country_index.get(code)
+        if row is None:
+            row = self.country_index[code] = len(self._pair_caps)
+            caps = [self.scenario.internet_cap_gbps(code, dc) for dc in self.dc_codes]
+            self._pair_caps = np.vstack([self._pair_caps, caps])
+            self._internet = np.concatenate(
+                [self._internet, np.zeros((1,) + self._internet.shape[1:])]
             )
-            self._loads[config] = load
-        return load
+        return row
 
-    # -- integer-indexed batch path ---------------------------------------
+    def admit(
+        self, table: CallTable, candidates: Callable[[int, int], np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Admit a table's calls in row order.
 
-    def compute_headroom_at(self, dc_i: int, slot: int, cores: float) -> bool:
-        self._ensure(slot + 1)
-        return self._compute[dc_i, slot] + cores <= self._caps[dc_i] + 1e-9
+        Each call takes the first bucket of its candidate list with
+        compute headroom at its start slot (and, for an Internet bucket,
+        Internet headroom for every participant country) and holds it
+        over ``[start, end)``; a call with no such bucket overflows onto
+        the first DC's WAN.  ``candidates(lo, hi)`` returns the bucket
+        ids (``2 * dc + internet``, ``-1``-padded) of rows ``[lo, hi)``,
+        in try order.  Returns per-call DC and option indices and the
+        number of overflowed (unplanned) calls.
+        """
+        n = len(table)
+        profile = _Profile(self, table.configs)
+        self.reserve(int(table.end_slot.max()))
+        dc = np.zeros(n, dtype=np.int64)
+        internet = np.zeros(n, dtype=np.int64)
+        planned = np.zeros(n, dtype=bool)
+        starts = table.start_slot
+        cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            for a in range(lo, hi, _ADMIT_WINDOW):
+                b = min(a + _ADMIT_WINDOW, hi)
+                run = slice(a, b)
+                dc[run], internet[run], planned[run] = self._admit_run(
+                    table.config_idx[run], int(starts[a]), candidates(a, b), profile
+                )
+                self._commit(table, run, dc[run], internet[run], profile)
+        return dc, internet, int(n - planned.sum())
 
-    def internet_headroom_at(self, load: _ConfigLoad, dc_i: int, slot: int) -> bool:
-        self._ensure(slot + 1)
-        for ci, code, bw in zip(load.country_idx, load.country_codes, load.bandwidths):
-            if ci >= 0:
-                cap = self._pair_caps[ci, dc_i]
-                used = self._internet[ci, dc_i, slot]
-            else:
-                cap = self.scenario.internet_cap_gbps(code, self.dc_codes[dc_i])
-                used = self._extra_internet.get((code, dc_i, slot), 0.0)
-            if used + bw > cap + 1e-12:
-                return False
-        return True
+    def _admit_run(self, cfg, slot, cand, profile):
+        """Admit calls of configs ``cfg`` that all start at ``slot``.
 
-    def admit_at(
-        self, load: _ConfigLoad, dc_i: int, internet: bool, start: int, end: int
-    ) -> None:
-        self._ensure(end)
-        self._compute[dc_i, start:end] += load.cores
-        if internet:
-            for ci, code, bw in zip(load.country_idx, load.country_codes, load.bandwidths):
-                if ci >= 0:
-                    self._internet[ci, dc_i, start:end] += bw
-                else:
-                    for slot in range(start, end):
-                        key = (code, dc_i, slot)
-                        self._extra_internet[key] = self._extra_internet.get(key, 0.0) + bw
+        Speculates every call onto its first bucket open under the
+        usage before the first of them and checks that in call order
+        (:func:`_first_refuted`).  The first call the check refutes
+        sees the exact usage of the calls before it, so speculating
+        afresh from that call under that usage places it for sure.
+        """
+        calls, dcs = len(cfg), len(self.dc_codes)
+        owner, part = profile.participants(cfg)
+        pair = dcs + profile.member[part] * dcs
+        gbps = profile.bandwidth[part]
+        cores = profile.cores[cfg]
+        # Candidate buckets as flat indices into ``open_buckets``' matrix
+        # (``-1`` padding lands on each row's always-shut last column).
+        width = 2 * dcs + 1
+        flat = cfg[:, None] * width + cand % width
+        used = np.concatenate((self._compute[:, slot], self._internet[:, :, slot].ravel()))
+        bucket = np.zeros(calls, dtype=np.int64)
+        planned = np.zeros(calls, dtype=bool)
+        a = 0
+        while a < calls:
+            b = min(a + _HORIZON, calls)
+            fits = profile.open_buckets(used).ravel()[flat[a:b]]
+            first_fit = np.arange(0, fits.size, fits.shape[1]) + fits.argmax(axis=1)
+            planned[a:b] = fits.ravel()[first_fit]
+            bucket[a:b] = np.where(planned[a:b], cand[a:b].ravel()[first_fit], 0)
+            lo, hi = np.searchsorted(owner, [a, b])
+            k, used = _first_refuted(
+                profile.limit, used, bucket[a:b], planned[a:b], cores[a:b],
+                owner[lo:hi] - a, pair[lo:hi], gbps[lo:hi],
+            )
+            a += k
+        return bucket >> 1, bucket & 1, planned
 
-    # -- string-keyed scalar API ------------------------------------------
+    def _commit(self, table, run, dc, on_net, profile) -> None:
+        """Add a run's admissions over each call's ``[start, end)``.
 
-    def compute_headroom(self, dc: str, slot: int, cores: float) -> bool:
-        return self.compute_headroom_at(self.dc_index[dc], slot, cores)
-
-    def internet_headroom(self, config: CallConfig, dc: str, slot: int) -> bool:
-        return self.internet_headroom_at(self.load_for(config), self.dc_index[dc], slot)
-
-    def admit(self, config: CallConfig, dc: str, option: str, call: Call) -> None:
-        self.admit_at(
-            self.load_for(config),
-            self.dc_index[dc],
-            option == INTERNET,
-            call.start_slot,
-            call.end_slot,
+        ``np.add.at`` adds unbuffered in index order, i.e. call by call,
+        so every cell accumulates the same doubles as a per-call loop.
+        """
+        cfg = table.config_idx[run]
+        duration = table.duration_slots[run]
+        slot = int(table.start_slot[run.start])
+        call, offset = _segments(duration)
+        np.add.at(self._compute, (dc[call], slot + offset), profile.cores[cfg][call])
+        net_calls = np.flatnonzero(on_net)
+        owner, part = profile.participants(cfg[net_calls])
+        event, offset = _segments(duration[net_calls][owner])
+        np.add.at(
+            self._internet,
+            (profile.member[part][event], dc[net_calls][owner][event], slot + offset),
+            profile.bandwidth[part][event],
         )
-
-
-class _DcInterner:
-    """Grows a DC code list as batch paths meet plan-only DCs."""
-
-    __slots__ = ("codes", "index")
-
-    def __init__(self, codes: Sequence[str]) -> None:
-        self.codes = list(codes)
-        self.index = {dc: i for i, dc in enumerate(self.codes)}
-
-    def __call__(self, dc: str) -> int:
-        i = self.index.get(dc)
-        if i is None:
-            i = len(self.codes)
-            self.index[dc] = i
-            self.codes.append(dc)
-        return i
 
 
 def _intra_country_guess(country: str, media: str) -> CallConfig:
@@ -409,30 +558,19 @@ class TitanNextController:
         self.slots_per_day = slots_per_day
         self.reduce_configs = reduce_configs
         self.stats = ControllerStats()
-        #: Most recently used planning config per country ("we pick the
-        #: most recently used reduced call config based on the country
-        #: of the first joiner", §6.4).
-        self._recent_config: Dict[str, CallConfig] = {}
-        #: Tentative quota consumption per in-flight call: the guessed
-        #: config whose plan bucket was sampled at assign time, plus
-        #: whether a full unit of quota was actually consumed (a
-        #: fractional bucket can be sampled but hold less than one
-        #: unit; refunding it anyway would mint quota from nothing).
-        self._pending: Dict[int, Optional[Tuple[CallConfig, bool]]] = {}
         self._fallback_cache: Dict[str, Tuple[str, str]] = {}
-        #: Batch-path state, created on the first ``process_table`` call
+        #: State created on the first non-empty ``process_table`` call
         #: and carried across calls so successive tables behave like one
         #: continuous stream: the quota snapshot, the buffered uniform
-        #: reader, and the per-country most-recent plan keys.
+        #: reader, and the per-country most-recent plan keys ("we pick
+        #: the most recently used reduced call config based on the
+        #: country of the first joiner", §6.4).
         self._quota_index: Optional[QuotaIndex] = None
         self._uniform_stream: Optional[_UniformStream] = None
         self._recent_key: Dict[str, int] = {}
 
     def _plan_key(self, config: CallConfig) -> CallConfig:
         return config.reduced() if self.reduce_configs else config
-
-    def _plan_slot(self, call: Call) -> int:
-        return call.start_slot % self.slots_per_day
 
     def _fallback_for_country(self, country_code: str) -> Tuple[str, str]:
         """Surge handling: nearest DC with capacity, over the WAN (§6.4)."""
@@ -445,209 +583,153 @@ class TitanNextController:
             self._fallback_cache[country_code] = cached
         return cached
 
-    def _fallback(self, call: Call) -> Tuple[str, str]:
-        return self._fallback_for_country(call.first_joiner_country)
-
-    def assign(self, call: Call) -> Tuple[str, str]:
-        """Initial assignment from the first joiner's country only.
-
-        The working guess is the most recently used planning config for
-        the first joiner's country (intra-country single-participant
-        video before any call has been seen); if its quotas are
-        exhausted, intra-country configs of the other media types are
-        tried before falling back to nearest-DC-with-capacity (§6.4,
-        "handling surge in calls").
-        """
-        if self._quota_index is not None:
-            # The batch path owns the quota snapshot, the per-country
-            # recent-config state, and a prefetched uniform buffer;
-            # scalar processing after it would double-spend quota and
-            # draw from a skipped-ahead stream.  Fail loudly instead.
-            raise RuntimeError(
-                "cannot mix scalar process() with process_table() on one "
-                "controller; use a fresh TitanNextController"
-            )
-        slot = self._plan_slot(call)
-        country = call.first_joiner_country
-        guesses = []
-        if country in self._recent_config:
-            guesses.append(self._recent_config[country])
-        for media in GUESS_MEDIA:
-            candidate = _intra_country_guess(country, media)
-            if candidate not in guesses:
-                guesses.append(candidate)
-        for guess in guesses:
-            choice = self.plan.sample(slot, guess, self.rng)
-            if choice is not None:
-                dc, option = choice
-                consumed = self.plan.consume(slot, guess, dc, option)
-                self._pending[call.call_id] = (guess, consumed)
-                return dc, option
-        self.stats.unplanned += 1
-        self._pending[call.call_id] = None
-        return self._fallback(call)
-
-    def reveal(self, call: Call, initial: Tuple[str, str]) -> CallAssignment:
-        """Reconcile once the true (reduced) config is known (~5 min in).
-
-        The quota consumed at assign time was charged against the
-        *guessed* config.  If the guess was right (the common case:
-        intra-country calls reduce to the guessed single-participant
-        config), accounting is already correct and the call stays put.
-        Otherwise the tentative quota is refunded and the call follows
-        the true config's plan — migrating if that lands elsewhere.
-        """
-        slot = self._plan_slot(call)
-        true_reduced = self._plan_key(call.config)
-        self._recent_config[call.first_joiner_country] = true_reduced
-        initial_dc, initial_option = initial
-        self.stats.calls += 1
-        pending = self._pending.pop(call.call_id, None)
-        guess, consumed = pending if pending is not None else (None, False)
-
-        if guess == true_reduced:
-            # Guessed right: the assign-time consumption was the real one.
-            return CallAssignment(call, initial_dc, initial_option, initial_dc, initial_option)
-        if consumed:
-            # Undo only what was actually decremented: a sampled-but-
-            # fractional bucket consumed nothing, so refunding it would
-            # inflate the plan's total quota on every wrong guess.
-            self.plan.refund(slot, guess, initial_dc, initial_option)
-
-        # The paper's rule: draw the target assignment for the *true*
-        # reduced config from the plan (weighted random over its
-        # remaining quotas); "if [it] is different than the initial
-        # assignment, we migrate the call to the target assignment."
-        choice = self.plan.sample(slot, true_reduced, self.rng)
-        if choice is None:
-            # No plan for this config at all: stay where we are.
-            return CallAssignment(call, initial_dc, initial_option, initial_dc, initial_option)
-        final_dc, final_option = choice
-        self.plan.consume(slot, true_reduced, final_dc, final_option)
-        if final_dc != initial_dc:
-            self.stats.dc_migrations += 1
-        if final_option != initial_option:
-            self.stats.option_migrations += 1
-        return CallAssignment(call, initial_dc, initial_option, final_dc, final_option)
-
-    def process(self, call: Call) -> CallAssignment:
-        """Assign at first join, then reconcile at config reveal."""
-        initial = self.assign(call)
-        return self.reveal(call, initial)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch rendition of :meth:`process` over a whole trace table.
+        """Assign a whole trace table: initial placement at first join,
+        reconciliation at config reveal.
 
-        Groups all per-call work around integer-interned state — a
-        :class:`~repro.core.plan.QuotaIndex` snapshot of the plan,
-        interned plan keys, per-country guess/fallback tables — and
-        consumes the controller's uniform stream in the exact order the
-        scalar loop would, so assignments and stats are identical call
-        for call.  The quota snapshot, uniform buffer, and per-country
-        recent-config state persist across calls, so splitting a day
-        into several tables behaves like processing one table; quota
-        accounting runs on the snapshot, so do not interleave with
-        scalar :meth:`process` calls on one controller.
+        Per call, in row order: the guesses are the most recently seen
+        planning config of the first joiner's country, then its
+        intra-country configs in :data:`GUESS_MEDIA` order; the first
+        guess whose (slot, config) entry has a live bucket is drawn
+        from (weighted by remaining quota) and charged one unit.  No
+        live guess means the §6.4 surge path: nearest DC over the WAN,
+        counted unplanned.  At reveal, a wrong guess refunds its unit
+        and the call draws from its true config's entry (if live),
+        migrating when that lands elsewhere.  Quota accounting runs on
+        the controller's :class:`~repro.core.plan.QuotaIndex` snapshot;
+        the snapshot, the uniform stream and the per-country recent
+        configs carry over between calls.
         """
         n = len(table)
-        opt_index = _OPTION_INDEX
-        dc_of = _DcInterner(self.scenario.dc_codes)
-        initial_dc = np.zeros(n, dtype=np.int64)
-        initial_opt = np.zeros(n, dtype=np.int64)
-        final_dc = np.zeros(n, dtype=np.int64)
-        final_opt = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return AssignmentBatch(table, initial_dc, initial_opt, final_dc, final_opt, dc_of.codes)
-
+            return _empty_batch(table, self.scenario.dc_codes)
         if self._quota_index is None:
-            self._quota_index = QuotaIndex(self.plan)
+            self._quota_index = QuotaIndex(self.plan, self.scenario.dc_codes)
             self._uniform_stream = _UniformStream(self.rng)
         index = self._quota_index
-        entry_for = index.entry
-        u_next = self._uniform_stream.next
-        plan_key = np.asarray(
-            [index.key(self._plan_key(c)) for c in table.configs], dtype=np.int64
+        stream = self._uniform_stream
+        assert stream is not None
+
+        codes, country = _table_countries(table)
+        slot = (table.start_slot % self.slots_per_day).astype(np.int32)
+        true_key = np.asarray(
+            [index.key(self._plan_key(c)) for c in table.configs], dtype=np.int32
+        )[table.config_idx]
+        # Guesses: the true key of the previous call from the same
+        # first-joiner country (the carried one for its first call),
+        # then that country's intra-country keys not already tried.
+        by_country = np.argsort(country, kind="stable")
+        grouped = country[by_country]
+        head = np.r_[True, grouped[1:] != grouped[:-1]]
+        tail = np.r_[head[1:], True]
+        guesses = np.empty((n, 1 + len(GUESS_MEDIA)), dtype=np.int32)
+        previous = np.r_[-1, true_key[by_country[:-1]]]
+        previous[head] = [self._recent_key.get(codes[c], -1) for c in grouped[head].tolist()]
+        guesses[by_country, 0] = previous
+        for c, key in zip(grouped[tail].tolist(), true_key[by_country[tail]].tolist()):
+            self._recent_key[codes[c]] = key
+        del by_country, grouped, head, tail, previous
+        intra = np.asarray(
+            [[index.key(_intra_country_guess(code, m)) for m in GUESS_MEDIA] for code in codes],
+            dtype=np.int32,
         )
-        codes, country_of_call = _table_countries(table)
-        intra_keys = [
-            [index.key(_intra_country_guess(code, media)) for media in GUESS_MEDIA]
-            for code in codes
-        ]
-        fallback = [
-            (dc_of(dc), opt_index[option])
-            for dc, option in (self._fallback_for_country(code) for code in codes)
-        ]
-        recent = [self._recent_key.get(code, -1) for code in codes]
-        slot_of_day = table.start_slot % self.slots_per_day
-        cfg_idx = table.config_idx
-        calls = dc_migrations = option_migrations = unplanned = 0
+        guesses[:, 1:] = intra[country]
+        guesses[:, 1:][guesses[:, 1:] == guesses[:, :1]] = -1
+        guess_rows = index.rows(np.broadcast_to(slot[:, None], guesses.shape), guesses)
+        true_rows = index.rows(slot, true_key)
+        del guesses, true_key, slot
 
-        for i in range(n):
-            slot = int(slot_of_day[i])
-            c = int(country_of_call[i])
-            g0 = recent[c]
-            chosen = None
-            chosen_pos = -1
-            chosen_key = -1
-            consumed = False
-            if g0 >= 0:
-                entry = entry_for(slot, g0)
-                if entry is not None:
-                    pos = entry.sample(u_next)
-                    if pos is not None:
-                        chosen, chosen_pos, chosen_key = entry, pos, g0
-            if chosen is None:
-                for k in intra_keys[c]:
-                    if k == g0:
-                        continue
-                    entry = entry_for(slot, k)
-                    if entry is None:
-                        continue
-                    pos = entry.sample(u_next)
-                    if pos is None:
-                        continue
-                    chosen, chosen_pos, chosen_key = entry, pos, k
-                    break
-            if chosen is None:
-                unplanned += 1
-                ini_d, ini_o = fallback[c]
-            else:
-                consumed = chosen.consume(chosen_pos)
-                dc_s, opt_s = chosen.keys[chosen_pos]
-                ini_d = dc_of(dc_s)
-                ini_o = opt_index[opt_s]
+        initial, final = self._draw(index, stream, guess_rows, true_rows)
+        del guess_rows, true_rows
+        return self._placements(table, index, codes, country, initial, final)
 
-            true_k = int(plan_key[cfg_idx[i]])
-            recent[c] = true_k
-            calls += 1
-            fin_d, fin_o = ini_d, ini_o
-            if chosen_key != true_k:
-                if consumed:
-                    chosen.refund(chosen_pos)
-                entry = entry_for(slot, true_k)
-                pos = entry.sample(u_next) if entry is not None else None
-                if pos is not None:
-                    entry.consume(pos)
-                    dc_s, opt_s = entry.keys[pos]
-                    fin_d = dc_of(dc_s)
-                    fin_o = opt_index[opt_s]
-                    if fin_d != ini_d:
-                        dc_migrations += 1
-                    if fin_o != ini_o:
-                        option_migrations += 1
-            initial_dc[i] = ini_d
-            initial_opt[i] = ini_o
-            final_dc[i] = fin_d
-            final_opt[i] = fin_o
+    @staticmethod
+    def _draw(index: QuotaIndex, stream: _UniformStream, guess_rows, true_rows):
+        """Per call, the (row, bucket) drawn at first join and at reveal
+        (``-1`` rows where there was no draw)."""
+        n = len(true_rows)
+        initial = np.full((2, n), -1, dtype=np.int32)
+        final = np.full((2, n), -1, dtype=np.int32)
+        lo = 0
+        while lo < n:
+            mark = stream.mark()
+            live = np.r_[index.live(), False]  # row -1 (no entry) is never live
+            guess_live = live[guess_rows[lo:]]
+            guessed = guess_live.any(axis=1)
+            first = np.arange(0, guess_live.size, guess_live.shape[1]) + guess_live.argmax(axis=1)
+            row0 = guess_rows[lo:].ravel()[first]
+            row0[~guessed] = -1
+            del guess_live
+            right = row0 == true_rows[lo:]  # same slot, so same row iff same key
+            revealed = ~right & live[true_rows[lo:]]
+            draws = guessed.astype(np.int32) + revealed
+            offset = np.cumsum(draws, dtype=np.int64) - draws
+            uniforms = stream.take(int(offset[-1] + draws[-1]))
+            event_row = np.empty(len(uniforms), dtype=np.int32)
+            consume = np.ones(len(uniforms), dtype=bool)
+            event_row[offset[guessed]] = row0[guessed]
+            consume[offset[guessed]] = right[guessed]
+            event_row[offset[revealed] + guessed[revealed]] = true_rows[lo:][revealed]
+            saved = index.quota.copy()
+            picks = index.draw(event_row, uniforms, consume)
+            stalled = np.flatnonzero(picks < 0)
+            end = n - lo
+            if len(stalled):
+                # The first draw that met an emptied entry: every call
+                # before its call stands; redo them on the saved quotas
+                # and speculate afresh from that call.
+                end = int(np.searchsorted(offset, stalled[0], side="right")) - 1
+                keep = int(offset[end])
+                index.quota = saved
+                picks = index.draw(event_row[:keep], uniforms[:keep], consume[:keep])
+                stream.rewind(mark)
+                stream.take(keep)
+            g = np.flatnonzero(guessed[:end])
+            r = np.flatnonzero(revealed[:end])
+            initial[0, lo + g] = row0[g]
+            initial[1, lo + g] = picks[offset[g]]
+            final[0, lo + r] = true_rows[lo + r]
+            final[1, lo + r] = picks[offset[r] + guessed[r]]
+            lo += end
+        return initial, final
 
-        for c, code in enumerate(codes):
-            if recent[c] >= 0:
-                self._recent_key[code] = recent[c]
-        self.stats.calls += calls
-        self.stats.dc_migrations += dc_migrations
-        self.stats.option_migrations += option_migrations
-        self.stats.unplanned += unplanned
-        return AssignmentBatch(table, initial_dc, initial_opt, final_dc, final_opt, dc_of.codes)
+    def _placements(self, table, index, codes, country, initial, final) -> AssignmentBatch:
+        """Turn the drawn (row, bucket) pairs into an
+        :class:`AssignmentBatch` and count the controller's stats."""
+        planned = initial[0] >= 0
+        moved = final[0] >= 0
+        fallback = [index.dc_codes.index(self._fallback_for_country(code)[0]) for code in codes]
+        initial_dc = np.asarray(fallback, dtype=np.int64)[country]
+        initial_opt = np.zeros(len(table), dtype=np.int64)  # the fallback rides the WAN
+        rows, picks = initial[:, planned]
+        initial_dc[planned] = index.bucket_dc[rows, picks]
+        initial_opt[planned] = index.bucket_option[rows, picks]
+        final_dc = initial_dc.copy()
+        final_opt = initial_opt.copy()
+        rows, picks = final[:, moved]
+        final_dc[moved] = index.bucket_dc[rows, picks]
+        final_opt[moved] = index.bucket_option[rows, picks]
+
+        self.stats.calls += len(table)
+        self.stats.unplanned += int(np.count_nonzero(~planned))
+        self.stats.dc_migrations += int(np.count_nonzero(final_dc != initial_dc))
+        self.stats.option_migrations += int(np.count_nonzero(final_opt != initial_opt))
+
+        # Plan-only DCs (absent from the scenario) are listed after the
+        # scenario's, in the order this table's draws first reach them.
+        dc_codes = list(self.scenario.dc_codes)
+        base = len(dc_codes)
+        if len(index.dc_codes) > base:
+            reached = np.column_stack(
+                (np.where(planned, initial_dc, -1), np.where(moved, final_dc, -1))
+            ).ravel()
+            extra, first_seen = np.unique(reached[reached >= base], return_index=True)
+            extra = extra[np.argsort(first_seen)]
+            local = np.arange(len(index.dc_codes))
+            local[extra] = base + np.arange(len(extra))
+            initial_dc, final_dc = local[initial_dc], local[final_dc]
+            dc_codes += [index.dc_codes[d] for d in extra]
+        return AssignmentBatch(table, initial_dc, initial_opt, final_dc, final_opt, dc_codes)
 
 
 class FirstJoinerWrr:
@@ -681,99 +763,34 @@ class FirstJoinerWrr:
             self._bucket_cache[country] = cached
         return cached
 
-    def process(self, call: Call) -> CallAssignment:
-        self.stats.calls += 1
-        keys, weights = self._buckets(call.first_joiner_country)
-        order = weighted_shuffle_order(self.rng.random(len(keys)), weights)
-        cores = call.config.compute_cores()
-        for idx in order:
-            dc, option = keys[idx]
-            if not self.tracker.compute_headroom(dc, call.start_slot, cores):
-                continue
-            if option == INTERNET and not self.tracker.internet_headroom(
-                call.config, dc, call.start_slot
-            ):
-                continue
-            self.tracker.admit(call.config, dc, option, call)
-            return CallAssignment(call, dc, option, dc, option)
-        # Everything full: overflow onto the first bucket's WAN.
-        self.stats.unplanned += 1
-        dc = keys[0][0]
-        self.tracker.admit(call.config, dc, WAN, call)
-        return CallAssignment(call, dc, WAN, dc, WAN)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch WRR: one uniform block, vectorized weighted shuffles,
-        then a sequential capacity-checked admission pass (calls within
-        a slot contend for the same headroom, so admission order is
-        part of the semantics).  Stream- and float-identical to
-        :meth:`process` call for call."""
+        """Each call draws one uniform per bucket of its first joiner's
+        country and tries the buckets in that weighted-random
+        (Efraimidis–Spirakis) order, taking the first with capacity;
+        with none, it overflows onto the first DC's WAN."""
         n = len(table)
         tracker = self.tracker
-        dc_codes = tuple(tracker.dc_codes)
-        initial_dc = np.zeros(n, dtype=np.int64)
-        option_idx = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return AssignmentBatch(table, initial_dc, option_idx, initial_dc, option_idx, dc_codes)
+            return _empty_batch(table, tracker.dc_codes)
+        codes, country = _table_countries(table)
+        buckets = [self._buckets(code) for code in codes]
+        ids = _bucket_ids(tracker, [keys for keys, _ in buckets])
+        weights = np.zeros(ids.shape)
+        for row, (_, w) in zip(weights, buckets):
+            row[: len(w)] = w
+        real = ids >= 0
 
-        codes, country_of_call = _table_countries(table)
-        per_country = []
-        for code in codes:
-            keys, weights = self._buckets(code)
-            per_country.append(
-                (
-                    np.asarray([tracker.dc_index[dc] for dc, _ in keys], dtype=np.int64),
-                    np.asarray([opt == INTERNET for _, opt in keys], dtype=bool),
-                    weights,
-                )
-            )
-        bucket_count = np.asarray([len(pc[0]) for pc in per_country], dtype=np.int64)
-        k_per_call = bucket_count[country_of_call]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(k_per_call, out=offsets[1:])
-        uniforms = self.rng.random(int(offsets[-1]))
+        def candidates(lo: int, hi: int) -> np.ndarray:
+            rows = country[lo:hi]
+            u = np.full((hi - lo, ids.shape[1]), 0.5)  # padding: weight 0 sorts last
+            mask = real[rows]
+            u[mask] = self.rng.random(int(np.count_nonzero(mask)))
+            return np.take_along_axis(ids[rows], weighted_shuffle_order(u, weights[rows]), axis=1)
 
-        orders: List[Optional[np.ndarray]] = [None] * n
-        for c, (_, _, weights) in enumerate(per_country):
-            rows = np.nonzero(country_of_call == c)[0]
-            if not len(rows):
-                continue
-            k = int(bucket_count[c])
-            block = uniforms[offsets[rows][:, None] + np.arange(k)[None, :]]
-            for row, order in zip(rows, weighted_shuffle_order(block, weights)):
-                orders[row] = order
-
-        loads = [tracker.load_for(config) for config in table.configs]
-        starts, ends, cfg_idx = table.start_slot, table.end_slot, table.config_idx
-        tracker.reserve(int(ends.max()))
-        unplanned = 0
-        for i in range(n):
-            load = loads[cfg_idx[i]]
-            dc_arr, inet_arr, _ = per_country[country_of_call[i]]
-            start = int(starts[i])
-            placed = False
-            for idx in orders[i]:
-                d = int(dc_arr[idx])
-                inet = bool(inet_arr[idx])
-                if not tracker.compute_headroom_at(d, start, load.cores):
-                    continue
-                if inet and not tracker.internet_headroom_at(load, d, start):
-                    continue
-                tracker.admit_at(load, d, inet, start, int(ends[i]))
-                initial_dc[i] = d
-                option_idx[i] = 1 if inet else 0
-                placed = True
-                break
-            if not placed:
-                unplanned += 1
-                d = int(dc_arr[0])
-                tracker.admit_at(load, d, False, start, int(ends[i]))
-                initial_dc[i] = d
+        dc, internet, unplanned = tracker.admit(table, candidates)
         self.stats.calls += n
         self.stats.unplanned += unplanned
-        return AssignmentBatch(
-            table, initial_dc, option_idx, initial_dc.copy(), option_idx.copy(), dc_codes
-        )
+        return AssignmentBatch(table, dc, internet, dc.copy(), internet.copy(), tracker.dc_codes)
 
 
 class FirstJoinerLf:
@@ -802,70 +819,20 @@ class FirstJoinerLf:
             self._bucket_cache[country] = cached
         return cached
 
-    def process(self, call: Call) -> CallAssignment:
-        self.stats.calls += 1
-        cores = call.config.compute_cores()
-        for dc, option in self._sorted_buckets(call.first_joiner_country):
-            if not self.tracker.compute_headroom(dc, call.start_slot, cores):
-                continue
-            if option == INTERNET and not self.tracker.internet_headroom(
-                call.config, dc, call.start_slot
-            ):
-                continue
-            self.tracker.admit(call.config, dc, option, call)
-            return CallAssignment(call, dc, option, dc, option)
-        self.stats.unplanned += 1
-        dc = self.scenario.dc_codes[0]
-        self.tracker.admit(call.config, dc, WAN, call)
-        return CallAssignment(call, dc, WAN, dc, WAN)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch LF: cached latency-sorted buckets per country, one
-        sequential capacity-checked admission pass (LF draws no
-        randomness).  Identical to :meth:`process` call for call."""
+        """Each call tries its first joiner's country's buckets in
+        latency order, taking the first with capacity; with none, it
+        overflows onto the first DC's WAN (LF draws no randomness)."""
         n = len(table)
         tracker = self.tracker
-        dc_codes = tuple(tracker.dc_codes)
-        initial_dc = np.zeros(n, dtype=np.int64)
-        option_idx = np.zeros(n, dtype=np.int64)
         if n == 0:
-            return AssignmentBatch(table, initial_dc, option_idx, initial_dc, option_idx, dc_codes)
-
-        codes, country_of_call = _table_countries(table)
-        per_country = []
-        for code in codes:
-            buckets = self._sorted_buckets(code)
-            per_country.append(
-                [(tracker.dc_index[dc], opt == INTERNET) for dc, opt in buckets]
-            )
-        loads = [tracker.load_for(config) for config in table.configs]
-        starts, ends, cfg_idx = table.start_slot, table.end_slot, table.config_idx
-        tracker.reserve(int(ends.max()))
-        unplanned = 0
-        overflow_dc = tracker.dc_index[self.scenario.dc_codes[0]]
-        for i in range(n):
-            load = loads[cfg_idx[i]]
-            start = int(starts[i])
-            placed = False
-            for d, inet in per_country[country_of_call[i]]:
-                if not tracker.compute_headroom_at(d, start, load.cores):
-                    continue
-                if inet and not tracker.internet_headroom_at(load, d, start):
-                    continue
-                tracker.admit_at(load, d, inet, start, int(ends[i]))
-                initial_dc[i] = d
-                option_idx[i] = 1 if inet else 0
-                placed = True
-                break
-            if not placed:
-                unplanned += 1
-                tracker.admit_at(load, overflow_dc, False, start, int(ends[i]))
-                initial_dc[i] = overflow_dc
+            return _empty_batch(table, tracker.dc_codes)
+        codes, country = _table_countries(table)
+        ids = _bucket_ids(tracker, [self._sorted_buckets(code) for code in codes])
+        dc, internet, unplanned = tracker.admit(table, lambda lo, hi: ids[country[lo:hi]])
         self.stats.calls += n
         self.stats.unplanned += unplanned
-        return AssignmentBatch(
-            table, initial_dc, option_idx, initial_dc.copy(), option_idx.copy(), dc_codes
-        )
+        return AssignmentBatch(table, dc, internet, dc.copy(), internet.copy(), tracker.dc_codes)
 
 
 class FirstJoinerTitan:
@@ -882,33 +849,17 @@ class FirstJoinerTitan:
             [scenario.compute_caps[dc] / total for dc in scenario.dc_codes]
         )
 
-    def _pick_dc(self, u: float) -> int:
-        return int(
-            np.minimum(
-                np.searchsorted(self._cum_probs, u, side="right"),
-                len(self._cum_probs) - 1,
-            )
-        )
-
-    def process(self, call: Call) -> CallAssignment:
-        self.stats.calls += 1
-        scenario = self.scenario
-        dc = scenario.dc_codes[self._pick_dc(self.rng.random())]
-        fraction = scenario.internet_fraction(call.first_joiner_country, dc)
-        option = INTERNET if self.rng.random() < fraction else WAN
-        return CallAssignment(call, dc, option, dc, option)
-
     def process_table(self, table: CallTable) -> AssignmentBatch:
-        """Batch Titan: fully vectorized — one uniform block, one
+        """Per call, two uniforms: one picks the DC by its share of
+        cores, the other routes over the Internet with the pair's Titan
+        fraction.  Fully vectorized — one uniform block, one
         ``searchsorted`` for the DC draws, one fraction-table gather
-        for the routing draws.  Identical to :meth:`process` call for
-        call (Titan is stateless)."""
+        for the routing draws."""
         n = len(table)
         scenario = self.scenario
         dc_codes = tuple(scenario.dc_codes)
         if n == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return AssignmentBatch(table, empty, empty, empty, empty, dc_codes)
+            return _empty_batch(table, dc_codes)
         codes, country_of_call = _table_countries(table)
         uniforms = self.rng.random(2 * n)
         dc_idx = np.minimum(

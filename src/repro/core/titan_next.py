@@ -43,7 +43,7 @@ from .controller import (
 from .forecast import HoltWinters, forecast_day
 from .lp import AssignmentTable, JointAssignmentLp, JointLpOptions, JointLpResult, extract_result
 from .plan import OfflinePlan
-from .policies import LocalityFirstPolicy, TitanNextPolicy, TitanPolicy, WrrPolicy
+from .policies import LocalityFirstPolicy, TitanNextPolicy, TitanPolicy, WrrPolicy, check_demand
 from .scenario import Scenario, calibrate_compute_caps, estimate_pair_traffic_gbps
 
 #: Default European MP DCs (§7.3 evaluates intra-Europe calls only).
@@ -322,7 +322,13 @@ class PlanCache:
         return self._lp.num_constraints
 
     def demand_counts(self, demand: Mapping[Tuple[int, CallConfig], float]) -> np.ndarray:
-        """Per-C1-group call counts for one day's demand table."""
+        """Per-C1-group call counts for one day's demand table.
+
+        A NaN, infinite or negative count raises ``ValueError`` naming
+        its ``(slot, config)`` key, before any right-hand side is
+        written.
+        """
+        check_demand(self.scenario, demand)
         counts = np.zeros(len(self._artifacts.groups))
         for key, value in demand.items():
             if value <= 0:

@@ -1,9 +1,9 @@
-"""Batch controller paths vs the scalar references.
+"""Batch controller paths vs the per-call references.
 
-The ISSUE-3 tentpole contract: for identical uniform streams on the
-Europe scenario, every controller's ``process_table`` reproduces the
-scalar per-call loop — the same :class:`ControllerStats` *and* the same
-per-call placements.
+For identical uniform streams on the Europe scenario, every
+controller's ``process_table`` reproduces the per-call loop of
+``tests/oracles/controller_reference.py`` — the same
+:class:`ControllerStats` *and* the same per-call placements.
 """
 
 import numpy as np
@@ -20,6 +20,12 @@ from repro.core.lp import JointAssignmentLp
 from repro.core.plan import OfflinePlan
 from repro.core.titan_next import oracle_demand_for_day, run_prediction_day
 from repro.workload.traces import TraceGenerator
+from tests.oracles.controller_reference import (
+    ReferenceLf,
+    ReferenceTitan,
+    ReferenceTitanNext,
+    ReferenceWrr,
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +53,7 @@ def _placements(assignments):
 
 class TestBatchEquivalence:
     def test_titan_next_matches_scalar(self, small_setup, plan_assignment, day_table):
-        scalar = TitanNextController(
+        scalar = ReferenceTitanNext(
             small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
         )
         batched = TitanNextController(
@@ -61,7 +67,7 @@ class TestBatchEquivalence:
         assert batch.option_migrations == scalar.stats.option_migrations
 
     def test_titan_next_raw_configs_match_scalar(self, small_setup, plan_assignment, day_table):
-        scalar = TitanNextController(
+        scalar = ReferenceTitanNext(
             small_setup.scenario,
             OfflinePlan.from_assignment(plan_assignment),
             seed=7,
@@ -78,16 +84,16 @@ class TestBatchEquivalence:
         assert batched.stats == scalar.stats
 
     @pytest.mark.parametrize(
-        "make",
+        "make,reference",
         [
-            lambda scenario: FirstJoinerWrr(scenario, seed=3),
-            lambda scenario: FirstJoinerLf(scenario),
-            lambda scenario: FirstJoinerTitan(scenario, seed=4),
+            (lambda s: FirstJoinerWrr(s, seed=3), lambda s: ReferenceWrr(s, seed=3)),
+            (lambda s: FirstJoinerLf(s), lambda s: ReferenceLf(s)),
+            (lambda s: FirstJoinerTitan(s, seed=4), lambda s: ReferenceTitan(s, seed=4)),
         ],
         ids=["wrr", "lf", "titan"],
     )
-    def test_baseline_matches_scalar(self, small_setup, day_table, make):
-        scalar = make(small_setup.scenario)
+    def test_baseline_matches_scalar(self, small_setup, day_table, make, reference):
+        scalar = reference(small_setup.scenario)
         batched = make(small_setup.scenario)
         reference = [scalar.process(call) for call in day_table.to_calls()]
         batch = batched.process_table(day_table)
@@ -105,7 +111,7 @@ class TestBatchEquivalence:
         )
         first = generator.table_for_window(30 * 48 + 14, 5)
         second = generator.table_for_window(30 * 48 + 19, 5, id_offset=len(first))
-        scalar = TitanNextController(
+        scalar = ReferenceTitanNext(
             small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
         )
         batched = TitanNextController(
@@ -117,16 +123,6 @@ class TestBatchEquivalence:
         )
         assert batch == _placements(reference)
         assert batched.stats == scalar.stats
-
-    def test_scalar_after_batch_rejected(self, small_setup, plan_assignment, day_table):
-        """Mixing scalar process() after process_table() would double-
-        spend quota against the untouched plan — it must fail loudly."""
-        controller = TitanNextController(
-            small_setup.scenario, OfflinePlan.from_assignment(plan_assignment), seed=7
-        )
-        controller.process_table(day_table)
-        with pytest.raises(RuntimeError, match="process_table"):
-            controller.process(day_table.call(0))
 
     def test_empty_table(self, small_setup, plan_assignment, day_table):
         empty = day_table.__class__(

@@ -3,13 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.controller import (
-    CallAssignment,
-    FirstJoinerLf,
-    FirstJoinerTitan,
-    FirstJoinerWrr,
-    TitanNextController,
-)
 from repro.core.lp import JointAssignmentLp
 from repro.core.plan import OfflinePlan
 from repro.core.titan_next import (
@@ -22,6 +15,16 @@ from repro.net.latency import INTERNET, WAN
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, VIDEO
 from repro.workload.traces import Call, TraceGenerator
+from tests.oracles.controller_reference import (
+    ReferenceLf,
+    ReferenceTitan,
+    ReferenceTitanNext,
+    ReferenceWrr,
+    consume,
+    peek,
+    refund,
+    sample,
+)
 
 
 @pytest.fixture(scope="module")
@@ -46,26 +49,26 @@ class TestOfflinePlan:
         configs = offline.configs_for_slot(slot)
         assert configs
         config = configs[0]
-        choice = offline.sample(slot, config, rng)
+        choice = sample(offline, slot, config, rng)
         assert choice is not None
         dc, option = choice
-        before = offline.peek(slot, config, dc, option)
-        assert offline.consume(slot, config, dc, option)
-        assert offline.peek(slot, config, dc, option) == pytest.approx(before - 1.0)
+        before = peek(offline, slot, config, dc, option)
+        assert consume(offline, slot, config, dc, option)
+        assert peek(offline, slot, config, dc, option) == pytest.approx(before - 1.0)
 
     def test_consume_exhausts(self):
         config = CallConfig.from_counts({"FR": 1}, AUDIO)
         offline = OfflinePlan.from_assignment({(0, config, "westeurope", WAN): 2.0})
-        assert offline.consume(0, config, "westeurope", WAN)
-        assert offline.consume(0, config, "westeurope", WAN)
-        assert not offline.consume(0, config, "westeurope", WAN)
+        assert consume(offline, 0, config, "westeurope", WAN)
+        assert consume(offline, 0, config, "westeurope", WAN)
+        assert not consume(offline, 0, config, "westeurope", WAN)
         rng = np.random.default_rng(0)
-        assert offline.sample(0, config, rng) is None
+        assert sample(offline, 0, config, rng) is None
 
     def test_sample_unknown_config(self):
         offline = OfflinePlan()
         rng = np.random.default_rng(0)
-        assert offline.sample(0, CallConfig.from_counts({"FR": 1}, AUDIO), rng) is None
+        assert sample(offline, 0, CallConfig.from_counts({"FR": 1}, AUDIO), rng) is None
 
 
 class TestQuotaAccounting:
@@ -83,33 +86,33 @@ class TestQuotaAccounting:
 
     def test_consume_refund_round_trip_restores_peek(self):
         plan, config = self._plan()
-        before = plan.peek(0, config, "westeurope", WAN)
-        assert plan.consume(0, config, "westeurope", WAN)
-        assert plan.peek(0, config, "westeurope", WAN) == pytest.approx(before - 1.0)
-        plan.refund(0, config, "westeurope", WAN)
-        assert plan.peek(0, config, "westeurope", WAN) == pytest.approx(before)
+        before = peek(plan, 0, config, "westeurope", WAN)
+        assert consume(plan, 0, config, "westeurope", WAN)
+        assert peek(plan, 0, config, "westeurope", WAN) == pytest.approx(before - 1.0)
+        refund(plan, 0, config, "westeurope", WAN)
+        assert peek(plan, 0, config, "westeurope", WAN) == pytest.approx(before)
 
     def test_consume_never_drives_bucket_below_zero(self):
         plan, config = self._plan(quota=2.0)
-        assert plan.consume(0, config, "westeurope", WAN)
-        assert plan.consume(0, config, "westeurope", WAN)
+        assert consume(plan, 0, config, "westeurope", WAN)
+        assert consume(plan, 0, config, "westeurope", WAN)
         # Third consume must refuse rather than go negative.
-        assert not plan.consume(0, config, "westeurope", WAN)
-        assert plan.peek(0, config, "westeurope", WAN) >= 0.0
+        assert not consume(plan, 0, config, "westeurope", WAN)
+        assert peek(plan, 0, config, "westeurope", WAN) >= 0.0
         # Partial quota below the requested amount is also refused.
-        assert not plan.consume(0, config, "france-central", INTERNET, amount=10.0)
-        assert plan.peek(0, config, "france-central", INTERNET) == pytest.approx(2.0)
+        assert not consume(plan, 0, config, "france-central", INTERNET, amount=10.0)
+        assert peek(plan, 0, config, "france-central", INTERNET) == pytest.approx(2.0)
 
     def test_sample_none_once_all_buckets_exhausted(self):
         plan, config = self._plan(quota=1.0)
         rng = np.random.default_rng(1)
-        assert plan.consume(0, config, "westeurope", WAN)
-        assert plan.sample(0, config, rng) is not None  # one bucket left
-        assert plan.consume(0, config, "france-central", INTERNET)
-        assert plan.sample(0, config, rng) is None
+        assert consume(plan, 0, config, "westeurope", WAN)
+        assert sample(plan, 0, config, rng) is not None  # one bucket left
+        assert consume(plan, 0, config, "france-central", INTERNET)
+        assert sample(plan, 0, config, rng) is None
         # Refunding brings the entry back into rotation.
-        plan.refund(0, config, "westeurope", WAN)
-        assert plan.sample(0, config, rng) == ("westeurope", WAN)
+        refund(plan, 0, config, "westeurope", WAN)
+        assert sample(plan, 0, config, rng) == ("westeurope", WAN)
 
 
 class TestControllerStatsRates:
@@ -134,7 +137,7 @@ class TestControllerStatsRates:
 
 class TestTitanNextController:
     def test_processes_calls_and_counts(self, small_setup, plan):
-        controller = TitanNextController(small_setup.scenario, OfflinePlan.from_assignment(plan))
+        controller = ReferenceTitanNext(small_setup.scenario, OfflinePlan.from_assignment(plan))
         trace = TraceGenerator(small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=5)
         calls = trace.calls_for_window(30 * 48 + 18, 4)
         assignments = [controller.process(call) for call in calls]
@@ -143,7 +146,7 @@ class TestTitanNextController:
 
     def test_migration_rates_plausible(self, small_setup, plan):
         """Table 4: DC migrations with reduced configs sit around 11-19%."""
-        controller = TitanNextController(small_setup.scenario, OfflinePlan.from_assignment(plan))
+        controller = ReferenceTitanNext(small_setup.scenario, OfflinePlan.from_assignment(plan))
         trace = TraceGenerator(small_setup.demand, top_n_configs=small_setup.top_n_configs, seed=5)
         calls = trace.calls_for_window(30 * 48 + 16, 8)
         for call in calls:
@@ -151,7 +154,7 @@ class TestTitanNextController:
         assert 0.0 <= controller.stats.dc_migration_rate < 0.5
 
     def test_fallback_on_empty_plan(self, small_setup):
-        controller = TitanNextController(small_setup.scenario, OfflinePlan())
+        controller = ReferenceTitanNext(small_setup.scenario, OfflinePlan())
         config = CallConfig.from_counts({"FR": 2}, VIDEO)
         call = Call(0, config, 10, 1, "FR")
         assignment = controller.process(call)
@@ -167,7 +170,7 @@ class TestTitanNextController:
                 (10, reduced, "france-central", WAN): 100.0,
             }
         )
-        controller = TitanNextController(small_setup.scenario, plan)
+        controller = ReferenceTitanNext(small_setup.scenario, plan)
         call = Call(0, config, 10, 1, "FR")
         assignment = controller.process(call)
         assert not assignment.dc_migrated
@@ -184,13 +187,13 @@ class TestTitanNextController:
                 (10, audio_reduced, "france-central", WAN): 100.0,
             }
         )
-        controller = TitanNextController(small_setup.scenario, plan)
+        controller = ReferenceTitanNext(small_setup.scenario, plan)
         # Guess is video (0.4 quota: sampled, but less than one unit);
         # the true config is audio, so reconciliation follows audio's plan.
         assignment = controller.process(Call(0, CallConfig.from_counts({"FR": 2}, AUDIO), 10, 1, "FR"))
         assert assignment.initial_dc == "ireland"
         assert assignment.final_dc == "france-central"
-        assert plan.peek(10, video_reduced, "ireland", WAN) == pytest.approx(0.4)
+        assert peek(plan, 10, video_reduced, "ireland", WAN) == pytest.approx(0.4)
 
     def test_migration_when_plan_differs(self, small_setup):
         video_reduced = CallConfig.from_counts({"FR": 1}, VIDEO)
@@ -201,7 +204,7 @@ class TestTitanNextController:
                 (10, audio_reduced, "france-central", WAN): 100.0,
             }
         )
-        controller = TitanNextController(small_setup.scenario, plan)
+        controller = ReferenceTitanNext(small_setup.scenario, plan)
         # First joiner from FR; recent media defaults to video -> ireland.
         call = Call(0, CallConfig.from_counts({"FR": 2}, AUDIO), 10, 1, "FR")
         assignment = controller.process(call)
@@ -218,14 +221,14 @@ class TestFirstJoinerBaselines:
         return trace.calls_for_window(30 * 48 + 18, n_slots)
 
     def test_wrr_assigns_everything(self, small_setup):
-        controller = FirstJoinerWrr(small_setup.scenario)
+        controller = ReferenceWrr(small_setup.scenario)
         calls = self._calls(small_setup)
         assignments = [controller.process(c) for c in calls]
         assert len(assignments) == len(calls)
         assert all(a.final_dc in small_setup.scenario.dc_codes for a in assignments)
 
     def test_lf_prefers_nearest(self, small_setup):
-        controller = FirstJoinerLf(small_setup.scenario)
+        controller = ReferenceLf(small_setup.scenario)
         config = CallConfig.from_counts({"FR": 2}, AUDIO)
         call = Call(0, config, 10, 1, "FR")
         assignment = controller.process(call)
@@ -234,7 +237,7 @@ class TestFirstJoinerBaselines:
         assert assignment.final_dc in near
 
     def test_titan_routing_fraction(self, small_setup):
-        controller = FirstJoinerTitan(small_setup.scenario, seed=9)
+        controller = ReferenceTitan(small_setup.scenario, seed=9)
         config = CallConfig.from_counts({"GB": 2}, AUDIO)
         options = [controller.process(Call(i, config, 10, 1, "GB")).final_option for i in range(400)]
         internet_share = np.mean([o == INTERNET for o in options])
@@ -244,9 +247,9 @@ class TestFirstJoinerBaselines:
     def test_baselines_never_give_internet_to_disabled(self, small_setup):
         config = CallConfig.from_counts({"DE": 2}, AUDIO)
         for controller in (
-            FirstJoinerWrr(small_setup.scenario),
-            FirstJoinerLf(small_setup.scenario),
-            FirstJoinerTitan(small_setup.scenario),
+            ReferenceWrr(small_setup.scenario),
+            ReferenceLf(small_setup.scenario),
+            ReferenceTitan(small_setup.scenario),
         ):
             for i in range(50):
                 assignment = controller.process(Call(i, config, 10, 1, "DE"))

